@@ -70,6 +70,22 @@ pub struct ResolveStats {
     pub warm_rejected: usize,
 }
 
+impl ResolveStats {
+    /// Emits one call's ladder as the `solve.centers_{clean,warm,cold}`
+    /// and `br.warm_{adopted,rejected}` counters. Every top-level solver
+    /// call publishes exactly once — cold priming solves included — so
+    /// the counter totals of a day equal the sum of its per-round stats.
+    pub(crate) fn publish(&self) {
+        if fta_obs::enabled() {
+            fta_obs::counter("solve.centers_clean", self.centers_clean as u64);
+            fta_obs::counter("solve.centers_warm", self.centers_warm as u64);
+            fta_obs::counter("solve.centers_cold", self.centers_cold as u64);
+            fta_obs::counter("br.warm_adopted", self.warm_adopted as u64);
+            fta_obs::counter("br.warm_rejected", self.warm_rejected as u64);
+        }
+    }
+}
+
 /// Serializable seed of a primed [`Solver`] cache: for every captured
 /// center, the equilibrium each worker settled on, expressed as
 /// delivery-point strategy *masks* (stable across the dense pool-index
@@ -233,6 +249,7 @@ impl Solver {
             centers_cold: outcomes.len(),
             ..ResolveStats::default()
         };
+        self.last.publish();
         let budget_cancelled = cancel.is_some_and(CancelToken::is_cancelled);
         merge_outcomes(outcomes, budget_cancelled)
     }
@@ -410,13 +427,7 @@ impl Solver {
         }
         self.centers = caches;
         self.last = stats;
-        if fta_obs::enabled() {
-            fta_obs::counter("solve.centers_clean", stats.centers_clean as u64);
-            fta_obs::counter("solve.centers_warm", stats.centers_warm as u64);
-            fta_obs::counter("solve.centers_cold", stats.centers_cold as u64);
-            fta_obs::counter("br.warm_adopted", stats.warm_adopted as u64);
-            fta_obs::counter("br.warm_rejected", stats.warm_rejected as u64);
-        }
+        stats.publish();
         let mut merged = merge_outcomes(outcomes, false);
         for (summary, path) in merged.centers.iter_mut().zip(paths) {
             summary.resolve_path = path;
@@ -433,9 +444,9 @@ impl Solver {
     /// preconditions under which [`Solver::resolve`] takes its
     /// incremental path. Per-center semantics (clean short-circuit, warm
     /// delta-update, cold fallback) are byte-for-byte those of
-    /// [`Solver::resolve`]; the clean/warm/cold telemetry counters fire
-    /// here, once per shard. Returns per-view outcomes and resolve
-    /// paths in the order given, leaving merging to the caller.
+    /// [`Solver::resolve`]. Returns per-view outcomes and resolve paths in
+    /// the order given, leaving merging — and publishing the summed
+    /// [`ResolveStats`] — to the caller.
     pub(crate) fn resolve_views(
         &mut self,
         instance: &Instance,
@@ -471,13 +482,6 @@ impl Solver {
         }
         self.centers = caches;
         self.last = stats;
-        if fta_obs::enabled() {
-            fta_obs::counter("solve.centers_clean", stats.centers_clean as u64);
-            fta_obs::counter("solve.centers_warm", stats.centers_warm as u64);
-            fta_obs::counter("solve.centers_cold", stats.centers_cold as u64);
-            fta_obs::counter("br.warm_adopted", stats.warm_adopted as u64);
-            fta_obs::counter("br.warm_rejected", stats.warm_rejected as u64);
-        }
         (outcomes, paths)
     }
 }
@@ -620,12 +624,6 @@ fn remap_profile(cache: &CenterCache, keys: &[u64], space: &StrategySpace) -> Ve
         .enumerate()
         .map(|(i, &dp)| (dp, i as u32))
         .collect();
-    let idx_of_mask: HashMap<u128, u32> = space
-        .pool
-        .iter()
-        .enumerate()
-        .map(|(i, v)| (v.mask, i as u32))
-        .collect();
     let old_dp_ids = &cache.capture.pool_cache.dp_ids;
     let mut profile = Vec::with_capacity(space.view.workers.len());
     'workers: for &w in &space.view.workers {
@@ -646,7 +644,12 @@ fn remap_profile(cache: &CenterCache, keys: &[u64], space: &StrategySpace) -> Ve
                 }
             }
         }
-        profile.push(idx_of_mask.get(&new_mask).copied());
+        // The pool is sorted by (subset size, mask) and masks are unique.
+        let key = (new_mask.count_ones(), new_mask);
+        let idx = space
+            .pool
+            .binary_search_by_key(&key, |v| (v.mask.count_ones(), v.mask));
+        profile.push(idx.ok().map(|i| i as u32));
     }
     profile
 }
@@ -668,6 +671,7 @@ fn warm_center(
     let center_u32 = center.index() as u32;
     let _span = fta_obs::span_center("solver.center_warm", center_u32);
     let t0 = Instant::now();
+    let delta_span = fta_obs::span_center("vdps.delta", center_u32);
     let (pool, provenance, dstats) = delta_update_with_provenance(
         instance,
         aggregates,
@@ -675,6 +679,7 @@ fn warm_center(
         vdps_cfg,
         &cache.capture.pool_cache,
     )?;
+    drop(delta_span);
     let gen_stats = dstats.as_gen_stats(pool.len());
     // The per-worker slot cache is reusable only when the worker side is
     // bitwise-stable: same workers in the same local order with unchanged

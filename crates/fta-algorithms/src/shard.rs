@@ -262,10 +262,11 @@ pub fn solve_sharded(
 /// solvers run concurrently (cost-aware, heaviest shard first), each
 /// walking its centers down the clean/warm/cold ladder exactly as a
 /// single [`Solver`] would — the `solve.centers_{clean,warm,cold}`
-/// counters fire once per shard. Results are merged in global center
-/// order: for deterministic algorithms the round is bit-identical to an
-/// unsharded [`Solver`], for the iterative games it reaches the same
-/// equilibria because each center's cache evolves identically.
+/// counters fire once per round, summed over shards. Results are merged
+/// in global center order: for deterministic algorithms the round is
+/// bit-identical to an unsharded [`Solver`], for the iterative games it
+/// reaches the same equilibria because each center's cache evolves
+/// identically.
 pub struct ShardedSolver {
     config: SolveConfig,
     shards: usize,
@@ -392,6 +393,7 @@ impl ShardedSolver {
                 centers_cold: out.centers.len(),
                 ..ResolveStats::default()
             };
+            self.last.publish();
             self.prior = out.centers.clone();
             return out;
         }
@@ -468,6 +470,7 @@ impl ShardedSolver {
             summary.shard = Some(plan.shard_of(summary.center));
         }
         self.last = stats;
+        stats.publish();
         self.prior = merged.centers.clone();
         merged
     }

@@ -3,9 +3,9 @@
 //! updates, equilibrium warm starts) against per-round cold solves, so
 //! the perf trajectory of `Solver::resolve` is tracked in-repo.
 //!
-//! Each grid row replays a sequence of churned rounds in two modes.
-//! Churn is delivery-shaped, matching the sim's semantics (a served
-//! delivery point leaves with its *whole* task set, and deliveries
+//! Each grid row replays a sequence of churned rounds in three modes.
+//! The first two are delivery-shaped, matching the sim's semantics (a
+//! served delivery point leaves with its *whole* task set, and deliveries
 //! cluster by center because they are route completions): each round a
 //! rotating tenth of the centers sees action, and within those centers
 //! a rotating quarter of the delivery points is delivered — ~2.5% of
@@ -18,7 +18,13 @@
 //!   round length (the adversarial shape): every center is touched
 //!   every round and every route payload is rebuilt, so only the delta
 //!   updater's order reuse and the equilibrium warm start carry
-//!   savings.
+//!   savings;
+//! * `arrivals` — the simulated day's round shape: in *every* center a
+//!   rotating quarter of the delivery points is delivered, the quarter
+//!   delivered last round refills with fresh orders, and every surviving
+//!   deadline ages. The refilled points are new to the cache, so every
+//!   center regenerates its pool, and with every deadline aged only the
+//!   equilibrium warm start carries savings.
 //!
 //! Usage: `cargo run -p fta-bench --release --bin warm_snapshot -- [OUT]`
 //! (default OUT: `BENCH_incremental.json`). Set `FTA_BENCH_QUICK=1` to
@@ -29,7 +35,7 @@
 
 use fta_algorithms::{solve, Algorithm, FgtConfig, ResolveStats, SolveConfig, Solver};
 use fta_bench::{best_secs, gates, obj};
-use fta_core::{ChurnSet, Instance};
+use fta_core::{ChurnSet, Instance, SpatialTask, TaskId};
 use fta_data::SynConfig;
 use fta_vdps::VdpsConfig;
 use serde_json::Value;
@@ -62,6 +68,25 @@ fn churn_round(base: &Instance, round: usize, age: f64) -> Instance {
         for t in &mut next.tasks {
             t.expiry -= age;
         }
+    }
+    next
+}
+
+/// One `arrivals` step on `prev`: in every center the quarter of the
+/// delivery points with `(dp + round) % 4 == 0` is delivered, surviving
+/// deadlines shrink by `age`, and the quarter delivered last round
+/// refills with `base`'s orders at full deadline.
+fn arrivals_round(base: &Instance, prev: &Instance, round: usize, age: f64) -> Instance {
+    let slice = |t: &SpatialTask| (t.delivery_point.index() + round) % 4;
+    let mut next = prev.clone();
+    next.tasks.retain(|t| slice(t) > 1 && t.expiry > age);
+    for t in &mut next.tasks {
+        t.expiry -= age;
+    }
+    next.tasks
+        .extend(base.tasks.iter().filter(|t| slice(t) == 1).cloned());
+    for (i, t) in next.tasks.iter_mut().enumerate() {
+        t.id = TaskId::from_index(i);
     }
     next
 }
@@ -132,13 +157,17 @@ fn main() -> std::io::Result<()> {
             );
         }
 
-        for (mode, age) in [("drop", 0.0f64), ("aged", 0.05f64)] {
+        for (mode, age) in [("drop", 0.0f64), ("aged", 0.05), ("arrivals", 0.05)] {
             // The round sequence is cumulative: each round churns the
             // previous one, like a live day.
             let mut rounds: Vec<Instance> = Vec::with_capacity(n_rounds);
             let mut cur = base.clone();
             for r in 1..=n_rounds {
-                cur = churn_round(&cur, r, age);
+                cur = if mode == "arrivals" {
+                    arrivals_round(&base, &cur, r, age)
+                } else {
+                    churn_round(&cur, r, age)
+                };
                 rounds.push(cur.clone());
             }
             let churns: Vec<ChurnSet> = rounds
@@ -195,9 +224,10 @@ fn main() -> std::io::Result<()> {
             // `fta_bench::gates`). Delivery churn is where the incremental
             // path earns its keep: it must beat cold by a wide margin at
             // paper scale and never lose anywhere. Deep uniform aging
-            // rebuilds every route payload, so its structural win is only
-            // the retimed delta plus the warm start's assignment savings —
-            // a thin margin that gets a timer-noise allowance.
+            // rebuilds every route payload, and arrivals regenerate every
+            // pool, so their structural win is only the retimed or reused
+            // routes plus the warm start's assignment savings — a thin
+            // margin that gets a timer-noise allowance.
             let aged_band = gates::aged_noise_band(quick);
             if mode == "drop" {
                 assert!(
@@ -255,9 +285,11 @@ fn main() -> std::io::Result<()> {
             Value::String(
                 "Incremental re-solve (dirty-center detection + delta VDPS \
                  updates + equilibrium warm starts) vs per-round cold solves \
-                 over sequences of delivery-shaped churn rounds (~2.5% of \
-                 delivery points per round, clustered by center), FGT, \
-                 best-of-N"
+                 over sequences of churn rounds: delivery-shaped drop/aged \
+                 (~2.5% of delivery points per round, clustered by center) \
+                 and arrivals (a quarter of every center's delivery points \
+                 delivered and another refilled per round, all deadlines \
+                 aged), FGT, best-of-N"
                     .to_owned(),
             ),
         ),

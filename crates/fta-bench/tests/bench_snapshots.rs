@@ -36,6 +36,7 @@ fn bench_incremental_snapshot_is_schema_valid() {
     assert!(!grid.is_empty(), "grid must not be empty");
 
     let mut saw_paper_drop = false;
+    let mut arrivals_labels = Vec::new();
     for row in grid {
         for key in ["label", "mode"] {
             assert!(
@@ -91,6 +92,18 @@ fn bench_incremental_snapshot_is_schema_valid() {
                 "{label}/{mode}: committed snapshot has warm losing to cold"
             );
         }
+        if mode == "arrivals" {
+            arrivals_labels.push(label);
+            assert!(
+                warm <= cold * gates::aged_noise_band(false),
+                "{label}/{mode}: committed snapshot has warm losing to cold beyond noise"
+            );
+            assert_eq!(
+                stats["centers_clean"].as_u64(),
+                Some(0),
+                "{label}/{mode}: arrivals touch every center every round"
+            );
+        }
         if label == "paper" && mode == "drop" {
             saw_paper_drop = true;
             assert!(
@@ -101,6 +114,12 @@ fn bench_incremental_snapshot_is_schema_valid() {
         }
     }
     assert!(saw_paper_drop, "grid must include the paper/drop row");
+    arrivals_labels.sort_unstable();
+    assert_eq!(
+        arrivals_labels,
+        ["paper", "small"],
+        "grid must include the small and paper arrivals rows"
+    );
 }
 
 #[test]

@@ -198,6 +198,9 @@ struct Ring {
     buf: Vec<FlightEvent>,
     /// Index the next event overwrites once `buf` is full.
     head: usize,
+    /// Set when the owning thread exits and the contents move to the
+    /// retired list; a dump then reads them there, never twice.
+    retired: bool,
 }
 
 impl Ring {
@@ -254,9 +257,10 @@ impl Drop for RingHandle {
     fn drop(&mut self) {
         // A dumper holding the lock at thread exit is a teardown race;
         // losing this ring's tail then is acceptable.
-        let Ok(ring) = self.0.try_lock() else {
+        let Ok(mut ring) = self.0.try_lock() else {
             return;
         };
+        ring.retired = true;
         let retired = RetiredRing {
             thread: ring.thread,
             dropped: ring.dropped + ring.next_seq.saturating_sub(ring.buf.len() as u64),
@@ -309,6 +313,7 @@ fn record_armed(kind: FlightKind, name: &'static str, value: u64, center: Option
                     dropped: 0,
                     buf: Vec::with_capacity(RING_CAPACITY),
                     head: 0,
+                    retired: false,
                 }));
                 let mut registry = lock_registry();
                 registry.retain(|w| w.strong_count() > 0);
@@ -368,24 +373,29 @@ pub fn dump(reason: &str, center: Option<u32>) -> String {
     let mut dropped =
         CONTENDED_DROPS.load(Ordering::Relaxed) + RETIRED_EVICTED.load(Ordering::Relaxed);
     let mut threads = 0u64;
+    // Held across the live rings too: a ring retiring mid-dump is either
+    // read live (not yet marked) and listed only after this dump, or
+    // skipped live and read from the list — never both.
+    let retired = lock_retired();
     for ring in rings {
         let ring = ring.lock().unwrap_or_else(PoisonError::into_inner);
+        if ring.retired {
+            continue;
+        }
         threads += 1;
         dropped += ring.dropped + ring.next_seq.saturating_sub(ring.buf.len() as u64);
         for event in ring.snapshot() {
             events.push((ring.thread, event));
         }
     }
-    {
-        let retired = lock_retired();
-        for ring in retired.iter() {
-            threads += 1;
-            dropped += ring.dropped;
-            for event in &ring.events {
-                events.push((ring.thread, *event));
-            }
+    for ring in retired.iter() {
+        threads += 1;
+        dropped += ring.dropped;
+        for event in &ring.events {
+            events.push((ring.thread, *event));
         }
     }
+    drop(retired);
     events.sort_by_key(|&(thread, e)| (e.t_nanos, thread, e.seq));
     let dumped_unix_ms = SystemTime::now()
         .duration_since(UNIX_EPOCH)

@@ -299,3 +299,107 @@ proptest! {
         assert_pools_bit_identical(&churned, &config, &cache);
     }
 }
+
+/// One arrivals-shaped round, the shape every round of a simulated day
+/// has: new tasks land at delivery points that held none last round, and
+/// every surviving expiry ages by the round length. The delta pool must
+/// be bit-identical to regeneration, and the update must not do more DP
+/// work than the cold generation it replaces — a per-mask rediscovery
+/// seeded by the new points once materialised 21× the cold states.
+#[test]
+fn arrivals_round_matches_regen_within_cold_work() {
+    let n = 48;
+    let mut state = 0x2545_F491_4F6C_DD1Du64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let dps: Vec<DeliveryPoint> = (0..n)
+        .map(|i| DeliveryPoint {
+            id: DeliveryPointId::from_index(i),
+            location: Point::new(next() * 8.0, next() * 8.0),
+            center: CenterId(0),
+        })
+        .collect();
+    // Every third point is empty this round.
+    let tasks: Vec<SpatialTask> = (0..n)
+        .filter(|i| i % 3 != 0)
+        .enumerate()
+        .map(|(t, i)| SpatialTask {
+            id: TaskId::from_index(t),
+            delivery_point: DeliveryPointId::from_index(i),
+            expiry: 2.0 + next() * 10.0,
+            reward: 1.0 + next(),
+        })
+        .collect();
+    let base = Instance::new(
+        vec![DistributionCenter {
+            id: CenterId(0),
+            location: Point::new(4.0, 4.0),
+        }],
+        vec![Worker {
+            id: WorkerId(0),
+            location: Point::new(4.0, 4.0),
+            max_dp: 3,
+            center: CenterId(0),
+        }],
+        dps,
+        tasks,
+        1.0,
+    )
+    .expect("valid base instance");
+    // Next round: age everything, then orders arrive at a third of the
+    // empty points.
+    let age = 0.5;
+    let mut tasks: Vec<SpatialTask> = base
+        .tasks
+        .iter()
+        .filter(|t| t.expiry > age)
+        .map(|t| SpatialTask {
+            expiry: t.expiry - age,
+            ..*t
+        })
+        .collect();
+    for i in (0..n).filter(|i| i % 9 == 0) {
+        tasks.push(SpatialTask {
+            id: TaskId::from_index(0),
+            delivery_point: DeliveryPointId::from_index(i),
+            expiry: 3.0 + next() * 8.0,
+            reward: 1.0 + next(),
+        });
+    }
+    for (i, t) in tasks.iter_mut().enumerate() {
+        t.id = TaskId::from_index(i);
+    }
+    let churned = Instance::new(
+        base.centers.clone(),
+        base.workers.clone(),
+        base.delivery_points.clone(),
+        tasks,
+        base.speed,
+    )
+    .expect("valid churned instance");
+
+    for config in [VdpsConfig::unpruned(3), VdpsConfig::pruned(3.0, 3)] {
+        let aggs = base.dp_aggregates();
+        let views = base.center_views();
+        let (pool, stats) = generate_c_vdps(&base, &aggs, &views[0], &config);
+        let cache = PoolCache::capture(&base, &aggs, &views[0], &config, &pool, &stats);
+        assert_pools_bit_identical(&churned, &config, &cache);
+
+        let aggs2 = churned.dp_aggregates();
+        let views2 = churned.center_views();
+        let (_, cold) = generate_c_vdps(&churned, &aggs2, &views2[0], &config);
+        let (_, dstats) = delta_update(&churned, &aggs2, &views2[0], &config, &cache)
+            .expect("arrivals and aging are delta-supported");
+        assert!(dstats.dirty_points > 0, "the arrivals must classify dirty");
+        assert!(
+            dstats.memo_states <= cold.states,
+            "delta materialised {} states, cold generation {}",
+            dstats.memo_states,
+            cold.states
+        );
+    }
+}

@@ -199,3 +199,89 @@ fn unrecorded_solve_emits_nothing() {
     let snapshot = recorder.finish();
     assert!(snapshot.is_empty(), "stale events leaked: {snapshot:?}");
 }
+
+/// The `solve.centers_*` totals of an incremental simulated day, and the
+/// same totals summed from the per-round resolve paths of its ledger.
+fn recorded_day_ladder(config: &fta::sim::SimConfig) -> ([u64; 3], [u64; 3]) {
+    use fta::sim::{run_with_ledger, Scenario, ScenarioConfig};
+    let scenario = Scenario::generate(
+        &ScenarioConfig {
+            n_centers: 3,
+            n_workers: 12,
+            n_delivery_points: 30,
+            extent: 3.0,
+            arrival_rate: 60.0,
+            ..ScenarioConfig::default()
+        },
+        2.0,
+        31,
+    );
+    let recorder = Recorder::install();
+    let mut records = Vec::new();
+    let metrics = run_with_ledger(&scenario, config, &mut records);
+    let snapshot = recorder.finish();
+    assert!(metrics.is_conserved());
+    assert!(records.len() > 2, "the day must run several rounds");
+    let mut per_round = [0u64; 3];
+    for center in records.iter().flat_map(|r| &r.centers) {
+        let slot = ["clean", "warm", "cold"]
+            .iter()
+            .position(|p| *p == center.resolve)
+            .expect("every center records a ladder path");
+        per_round[slot] += 1;
+    }
+    let counters = [
+        "solve.centers_clean",
+        "solve.centers_warm",
+        "solve.centers_cold",
+    ]
+    .map(|name| snapshot.counter(name));
+    (counters, per_round)
+}
+
+#[test]
+fn flat_and_sharded_days_count_every_center_once() {
+    let _guard = lock();
+    let config = fta::sim::SimConfig {
+        horizon: 2.0,
+        assignment_period: 0.25,
+        vdps: VdpsConfig::pruned(1.5, 3),
+        ..fta::sim::SimConfig::day(Algorithm::Gta)
+    }
+    .with_incremental();
+    let (flat, flat_rounds) = recorded_day_ladder(&config);
+    let (sharded, sharded_rounds) =
+        recorded_day_ladder(&config.clone().with_shards(2, fta::core::ShardBy::Hash));
+    // The priming round is counted on both shapes, so the counters match
+    // the ledger's per-round paths and each other.
+    assert_eq!(flat, flat_rounds, "flat counters miss rounds");
+    assert_eq!(sharded, sharded_rounds, "sharded counters miss rounds");
+    assert_eq!(flat, sharded, "flat and sharded days disagree");
+    assert!(
+        flat[2] > 0 && flat[1] > 0,
+        "a churned day primes cold and then warms"
+    );
+}
+
+#[test]
+fn warm_resolve_emits_one_delta_span_per_warm_center() {
+    use fta::algorithms::Solver;
+    let _guard = lock();
+    let inst = instance(3, 17);
+    let mut solver = Solver::new(SolveConfig::new(Algorithm::Fgt(FgtConfig::default())));
+    solver.solve(&inst);
+    // Every other task leaves: every center is churned but keeps tasks.
+    let mut next = inst.clone();
+    next.tasks = next.tasks.into_iter().step_by(2).collect();
+    for (i, t) in next.tasks.iter_mut().enumerate() {
+        t.id = TaskId::from_index(i);
+    }
+    let recorder = Recorder::install();
+    let outcome = solver.resolve(&next, &fta::core::ChurnSet::empty(next.workers.len()));
+    let snapshot = recorder.finish();
+    assert!(outcome.assignment.validate(&next).is_ok());
+    let warm = solver.last_stats().centers_warm;
+    assert!(warm > 0, "no warm centers: {:?}", solver.last_stats());
+    assert_eq!(snapshot.span_count("vdps.delta"), warm);
+    assert_eq!(snapshot.span_count("solver.center_warm"), warm);
+}
