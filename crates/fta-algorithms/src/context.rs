@@ -6,6 +6,7 @@
 //! disjointness tracked as a single `u128` bitmask union — checking whether
 //! a candidate VDPS conflicts with everyone else's selection is one AND.
 
+use fta_core::iau::PeakBracket;
 use fta_core::{Assignment, WorkerId};
 use fta_vdps::{kernel, ScanKernel, StrategySpace};
 
@@ -364,6 +365,99 @@ impl<'a> GameContext<'a> {
         DescScan {
             scanned,
             early_exit,
+        }
+    }
+
+    /// Collects the available candidates a bracketed best response must
+    /// evaluate (see [`PeakBracket`]), in ascending pool-index order:
+    ///
+    /// * `Peak { lo, hi }` — the nearest available payoff above `hi`,
+    ///   every available payoff in `[lo, hi]`, and the nearest available
+    ///   payoff below `lo`;
+    /// * `Ends` — the highest and the lowest available payoff;
+    /// * `Monotone` — the highest available payoff (a peak at `+∞`).
+    ///
+    /// The bounds are compared against `key(payoff)` (PFGT's `p/ρ`; the
+    /// identity for FGT), which must be non-decreasing so the
+    /// payoff-descending slot order stays sorted by key. Of a nearest
+    /// payoff only its lowest pool index is collected. Availability is the
+    /// same test as [`GameContext::best_available_desc`]'s, and every slot
+    /// is probed at most once, so `scanned` never exceeds the worker's
+    /// strategy count.
+    pub fn bracket_available_desc(
+        &self,
+        local: usize,
+        bracket: PeakBracket,
+        key: impl Fn(f64) -> f64,
+        out: &mut Vec<(u32, f64)>,
+    ) -> DescScan {
+        out.clear();
+        let pool_idx = self.space.desc_pool_of(local);
+        let payoffs = self.space.desc_payoffs_of(local);
+        let masks = self.space.desc_masks_of(local);
+        let slots = self.space.desc_slots_of(local);
+        let other_taken = self.taken & !self.own_masks[local];
+        let len = pool_idx.len();
+        let use_index = !self.conflicts.is_empty();
+        let open = |pos: usize| {
+            if use_index {
+                self.conflicts[slots[pos] as usize] == 0
+            } else {
+                masks[pos] & other_taken == 0
+            }
+        };
+        // Each helper returns its hit and how many slots it probed.
+        let first_open = |from: usize, to: usize| match (from..to).find(|&pos| open(pos)) {
+            Some(pos) => (Some(pos), pos + 1 - from),
+            None => (None, to - from),
+        };
+        // The last open position in `from..to`, moved to the lowest open
+        // one of its equal-payoff run (descending order sorts equal
+        // payoffs by ascending pool index).
+        let lowest_open = |from: usize, to: usize| {
+            let Some(hit) = (from..to).rev().find(|&pos| open(pos)) else {
+                return (None, to - from);
+            };
+            let mut start = hit;
+            while start > from && payoffs[start - 1] == payoffs[hit] {
+                start -= 1;
+            }
+            match (start..hit).find(|&pos| open(pos)) {
+                Some(pos) => (Some(pos), to - hit + pos + 1 - start),
+                None => (Some(hit), to - start),
+            }
+        };
+        let at = |pos: usize| (pool_idx[pos], payoffs[pos]);
+        let mut scanned = 0;
+        if bracket == PeakBracket::Ends {
+            let (top, probed) = first_open(0, len);
+            scanned += probed;
+            if let Some(top) = top {
+                out.push(at(top));
+                // A bottom of equal payoff is the top itself: every slot
+                // before `top` is taken.
+                let (bottom, probed) = lowest_open(top + 1, len);
+                scanned += probed;
+                out.extend(bottom.filter(|&b| payoffs[b] != payoffs[top]).map(at));
+            }
+        } else {
+            let (lo, hi) = match bracket {
+                PeakBracket::Peak { lo, hi } => (lo, hi),
+                _ => (f64::INFINITY, f64::INFINITY),
+            };
+            let above = payoffs.partition_point(|&p| key(p) > hi);
+            let below = above + payoffs[above..].partition_point(|&p| key(p) >= lo);
+            let (nearest_above, probed_above) = lowest_open(0, above);
+            out.extend(nearest_above.map(at));
+            out.extend((above..below).filter(|&pos| open(pos)).map(at));
+            let (nearest_below, probed_below) = first_open(below, len);
+            out.extend(nearest_below.map(at));
+            scanned = probed_above + (below - above) + probed_below;
+        }
+        out.sort_unstable_by_key(|&(idx, _)| idx);
+        DescScan {
+            scanned: scanned as u64,
+            early_exit: scanned < len,
         }
     }
 

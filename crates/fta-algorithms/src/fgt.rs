@@ -18,7 +18,7 @@ use crate::context::GameContext;
 use crate::random::random_init;
 use crate::stats::BestResponseStats;
 use crate::trace::ConvergenceTrace;
-use fta_core::iau::{IauEvaluator, IauParams, RivalSet};
+use fta_core::iau::{IauEvaluator, IauParams, PeakBracket, RivalSet};
 use fta_core::CancelToken;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -39,15 +39,17 @@ pub enum BestResponseEngine {
     /// maintenance per round — but still evaluate the IAU of *every*
     /// available candidate.
     Incremental,
-    /// Monotone fast path: because the IAU is strictly increasing in the
-    /// own payoff whenever `β < 1` and `α ≥ 0` (see
-    /// [`fastpath_sound`]), the best response is simply the
-    /// highest-payoff available strategy — a first-hit scan over the
+    /// Shape-aware fast path, for any IAU weights: the incremental
+    /// engine's [`RivalSet`], but each turn IAU-evaluates only the
+    /// candidates [`RivalSet::peak_bracket`] says can win. When the IAU is
+    /// strictly increasing in the own payoff ([`fastpath_sound`], e.g. the
+    /// paper's `α = β = 0.5`) that is a first-hit scan over the
     /// payoff-descending slot order with early exit and exactly two IAU
-    /// evaluations per turn. When the IAU parameters leave the sound
-    /// regime the run transparently falls back to the [`Incremental`]
-    /// loop, bit-identically (observable as
-    /// `BestResponseStats::fastpath_rounds == 0`).
+    /// evaluations per turn. Otherwise (`β ≥ 1`) the IAU is concave and
+    /// the scan binary-searches the bracket around its peak, or (`α+β ≤
+    /// 0`) it is convex and only the two extreme payoffs are evaluated.
+    /// Selections are bit-identical to [`Incremental`]'s (proptested);
+    /// every round counts in `BestResponseStats::fastpath_rounds`.
     ///
     /// [`Incremental`]: BestResponseEngine::Incremental
     #[default]
@@ -64,9 +66,24 @@ impl BestResponseEngine {
             Self::FastPath => "fastpath",
         }
     }
+
+    /// Which candidates this engine IAU-evaluates per turn under `params`:
+    /// `all` for the exhaustive engines; for the fast path the
+    /// [`PeakBracket`] rule (`monotone`, `peak` or `ends`), which depends on
+    /// the weights alone.
+    #[must_use]
+    pub fn rule(&self, params: IauParams) -> &'static str {
+        match self {
+            Self::Rebuild | Self::Incremental => "all",
+            Self::FastPath => RivalSet::new(params).peak_bracket().name(),
+        }
+    }
 }
 
-/// Whether the monotone fast path is sound for the given IAU weights.
+/// Whether the IAU is strictly increasing in the own payoff under the
+/// given weights, so the fast path's best response is the monotone
+/// first-hit scan ([`PeakBracket::Monotone`]). Other weights run the
+/// fast path's bracketed rule instead; nothing falls back.
 ///
 /// # Monotonicity proof
 ///
@@ -85,9 +102,10 @@ impl BestResponseEngine {
 /// dU/dp = 1 + α·k_above/(n−1) − β·k_below/(n−1).
 /// ```
 ///
-/// Since `k_below ≤ n−1` and `k_above ≥ 0`, `dU/dp ≥ 1 − β` whenever
-/// `α ≥ 0`; for `β < 1` every linear piece therefore has strictly positive
-/// slope and `U` is *strictly increasing* in `p`. The argmax of `U` over
+/// Since `k_above + k_below = n−1` on an open piece, the slope is
+/// `(k_above·(1+α) + k_below·(1−β))/(n−1) ≥ min(1+α, 1−β)`; for `β < 1`
+/// and `α > −1` every linear piece therefore has strictly positive slope
+/// and `U` is *strictly increasing* in `p`. The argmax of `U` over
 /// the candidate set `{0} ∪ {available payoffs}` is then exactly the
 /// maximum-payoff candidate, and the exhaustive engines' tie-break (first
 /// strict maximum over null followed by candidates in ascending pool-index
@@ -95,8 +113,9 @@ impl BestResponseEngine {
 /// sorted by ascending pool index — and taking the first available hit,
 /// adopting null unless its payoff strictly exceeds 0. The same argument
 /// applies to the priority-aware IAU, which evaluates inequity on the
-/// normalised payoffs `q = p/ρ` with `ρ > 0` (a strictly increasing map),
-/// and trivially to IEGT's raw-payoff utilities.
+/// normalised payoffs `q = p/ρ` with `ρ > 0` (a strictly increasing map).
+/// IEGT's raw-payoff utilities are always monotone and always take the
+/// first-hit scan.
 ///
 /// The equivalence is exact in real arithmetic; in floating point it holds
 /// unless two candidate utilities within one turn round to the *same* f64
@@ -105,7 +124,26 @@ impl BestResponseEngine {
 /// instances).
 #[must_use]
 pub fn fastpath_sound(params: IauParams) -> bool {
-    params.beta < 1.0 && params.alpha >= 0.0
+    RivalSet::new(params).peak_bracket() == PeakBracket::Monotone
+}
+
+/// The exhaustive engines' pick: the first strict maximum of `eval` over
+/// null (payoff 0), then `candidates` in the order given. Returns the pick
+/// (`None` for null), its utility, and how many utilities were evaluated,
+/// null's included.
+pub(crate) fn first_strict_max(
+    candidates: impl IntoIterator<Item = (u32, f64)>,
+    eval: impl Fn(f64) -> f64,
+) -> (Option<u32>, f64, u64) {
+    let (mut choice, mut utility, mut evaluations) = (None, eval(0.0), 1);
+    for (idx, payoff) in candidates {
+        let u = eval(payoff);
+        evaluations += 1;
+        if u > utility {
+            (choice, utility) = (Some(idx), u);
+        }
+    }
+    (choice, utility, evaluations)
 }
 
 /// Configuration of the FGT best-response run.
@@ -253,15 +291,7 @@ fn fgt_once(
     match config.engine {
         BestResponseEngine::Rebuild => fgt_once_rebuild(ctx, config, init, cancel),
         BestResponseEngine::Incremental => fgt_once_incremental(ctx, config, init, cancel),
-        BestResponseEngine::FastPath => {
-            if fastpath_sound(config.iau) {
-                fgt_once_fastpath(ctx, config, init, cancel)
-            } else {
-                // Out of the monotone regime: fall back bit-identically to
-                // exhaustive IAU evaluation (fastpath_rounds stays 0).
-                fgt_once_incremental(ctx, config, init, cancel)
-            }
-        }
+        BestResponseEngine::FastPath => fgt_once_fastpath(ctx, config, init, cancel),
     }
 }
 
@@ -311,16 +341,9 @@ fn fgt_once_rebuild(
             // Candidate set: null (payoff 0) plus every available VDPS.
             // The availability filter probes the worker's entire list.
             trace.stats.candidates_scanned += ctx.space().strategy_count(local) as u64;
-            let mut best: Option<(Option<u32>, f64)> = Some((None, eval.eval(0.0)));
-            trace.stats.candidate_evaluations += 2;
-            for (idx, payoff) in ctx.available_strategies(local) {
-                let u = eval.eval(payoff);
-                trace.stats.candidate_evaluations += 1;
-                if best.as_ref().is_none_or(|&(_, bu)| u > bu) {
-                    best = Some((Some(idx), u));
-                }
-            }
-            let (choice, utility) = best.expect("null is always a candidate");
+            let (choice, utility, evaluations) =
+                first_strict_max(ctx.available_strategies(local), |p| eval.eval(p));
+            trace.stats.candidate_evaluations += 1 + evaluations;
             if utility > current_utility + config.min_improvement && choice != ctx.selection(local)
             {
                 ctx.set_strategy(local, choice);
@@ -392,16 +415,9 @@ fn fgt_once_incremental(
 
             let current_utility = rivals.eval(own);
             trace.stats.candidates_scanned += ctx.space().strategy_count(local) as u64;
-            let mut best: Option<(Option<u32>, f64)> = Some((None, rivals.eval(0.0)));
-            trace.stats.candidate_evaluations += 2;
-            for (idx, payoff) in ctx.available_strategies(local) {
-                let u = rivals.eval(payoff);
-                trace.stats.candidate_evaluations += 1;
-                if best.as_ref().is_none_or(|&(_, bu)| u > bu) {
-                    best = Some((Some(idx), u));
-                }
-            }
-            let (choice, utility) = best.expect("null is always a candidate");
+            let (choice, utility, evaluations) =
+                first_strict_max(ctx.available_strategies(local), |p| rivals.eval(p));
+            trace.stats.candidate_evaluations += 1 + evaluations;
             if utility > current_utility + config.min_improvement && choice != ctx.selection(local)
             {
                 ctx.set_strategy(local, choice);
@@ -435,26 +451,25 @@ fn fgt_once_incremental(
     trace
 }
 
-/// Monotone fast-path engine: one [`RivalSet`] maintained across the run
-/// (exactly like the incremental engine, so the trace summaries are
-/// bit-identical), but the best response is found *without* evaluating the
-/// IAU of every candidate: by the monotonicity argument documented on
-/// [`fastpath_sound`], the utility-argmax equals the payoff-argmax, so a
-/// first-hit scan over the payoff-descending slot order (early exit at the
-/// first available slot) identifies the candidate, and only two IAU
+/// Fast-path engine: one [`RivalSet`] maintained across the run (exactly
+/// like the incremental engine, so the trace summaries are bit-identical),
+/// but the best response is found *without* evaluating the IAU of every
+/// candidate. Under monotone weights ([`fastpath_sound`]) the
+/// utility-argmax equals the payoff-argmax, so a first-hit scan over the
+/// payoff-descending slot order identifies the candidate and only two IAU
 /// evaluations remain per turn — the current utility and the candidate's.
-/// The strict-improvement switch rule is then applied to the same floats
-/// the exhaustive engines would have computed.
-///
-/// Only dispatched when [`fastpath_sound`] holds for the configured IAU
-/// weights; [`fgt_once`] otherwise falls back to the incremental loop.
+/// Otherwise the turn evaluates null plus the candidates
+/// [`GameContext::bracket_available_desc`] collects for the rivals'
+/// [`PeakBracket`], and picks by the exhaustive engines' rule (first strict
+/// maximum over null, then ascending pool index). The strict-improvement
+/// switch rule is then applied to the same floats the exhaustive engines
+/// would have computed.
 fn fgt_once_fastpath(
     ctx: &mut GameContext<'_>,
     config: &FgtConfig,
     init: Option<u64>,
     cancel: Option<&CancelToken>,
 ) -> ConvergenceTrace {
-    debug_assert!(fastpath_sound(config.iau));
     let index_updates_before = ctx.index_updates();
     if let Some(seed) = init {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -474,6 +489,7 @@ fn fgt_once_fastpath(
     );
 
     let n = ctx.n_workers();
+    let mut candidates = Vec::new();
     for round in 1..=config.max_rounds {
         trace.stats.rounds += 1;
         trace.stats.fastpath_rounds += 1;
@@ -484,18 +500,27 @@ fn fgt_once_fastpath(
             trace.stats.evaluator_updates += 1;
 
             let current_utility = rivals.eval(own);
-            // Monotone best response: highest-payoff available strategy,
-            // null unless its payoff strictly exceeds 0.
-            let (found, scan) = ctx.best_available_desc(local);
+            let bracket = rivals.peak_bracket();
+            let (choice, utility, scan) = if bracket == PeakBracket::Monotone {
+                // Monotone best response: highest-payoff available
+                // strategy, null unless its payoff strictly exceeds 0.
+                let (found, scan) = ctx.best_available_desc(local);
+                trace.stats.candidate_evaluations += 2;
+                match found {
+                    Some((idx, payoff)) if payoff > 0.0 => (Some(idx), rivals.eval(payoff), scan),
+                    _ => (None, rivals.eval(0.0), scan),
+                }
+            } else {
+                let scan = ctx.bracket_available_desc(local, bracket, |p| p, &mut candidates);
+                let (choice, utility, evaluations) =
+                    first_strict_max(candidates.iter().copied(), |p| rivals.eval(p));
+                trace.stats.candidate_evaluations += 1 + evaluations;
+                (choice, utility, scan)
+            };
             trace.stats.candidates_scanned += scan.scanned;
             if scan.early_exit {
                 trace.stats.early_exits += 1;
             }
-            let (choice, utility) = match found {
-                Some((idx, payoff)) if payoff > 0.0 => (Some(idx), rivals.eval(payoff)),
-                _ => (None, rivals.eval(0.0)),
-            };
-            trace.stats.candidate_evaluations += 2;
             if utility > current_utility + config.min_improvement && choice != ctx.selection(local)
             {
                 ctx.set_strategy(local, choice);
@@ -873,21 +898,21 @@ mod tests {
     }
 
     #[test]
-    fn unsound_iau_weights_fall_back_to_exhaustive_evaluation() {
+    fn averse_iau_weights_take_the_bracketed_fast_path() {
         // β ≥ 1 breaks monotonicity (a worker can prefer a *lower* payoff
-        // to reduce guilt), so the FastPath engine must run the exhaustive
-        // loop — provably, via fastpath_rounds == 0 — and match the
-        // Incremental engine bit-for-bit.
+        // to reduce guilt). The fast path no longer falls back: every
+        // round runs the bracketed rule, evaluates far fewer candidates,
+        // and still matches the Incremental engine bit for bit.
         assert!(!fastpath_sound(IauParams {
             alpha: 0.5,
             beta: 1.0
         }));
         assert!(!fastpath_sound(IauParams {
-            alpha: -0.1,
+            alpha: -1.0,
             beta: 0.5
         }));
         assert!(fastpath_sound(IauParams {
-            alpha: 0.0,
+            alpha: -0.1,
             beta: 0.999
         }));
         let inst = instance(18);
@@ -910,10 +935,118 @@ mod tests {
         };
         let (i_asg, i_rounds, i_stats) = run(BestResponseEngine::Incremental);
         let (f_asg, f_rounds, f_stats) = run(BestResponseEngine::FastPath);
-        assert_eq!(f_stats.fastpath_rounds, 0, "fallback must not fast-path");
         assert_eq!(f_asg, i_asg);
         assert_eq!(f_rounds, i_rounds);
-        assert_eq!(f_stats, i_stats);
+        assert_eq!(f_stats.fastpath_rounds, f_stats.rounds);
+        assert_eq!(f_stats.switches, i_stats.switches);
+        assert!(f_stats.candidates_scanned <= i_stats.candidates_scanned);
+        assert!(
+            f_stats.candidate_evaluations < i_stats.candidate_evaluations,
+            "bracketed {} vs exhaustive {} evaluations",
+            f_stats.candidate_evaluations,
+            i_stats.candidate_evaluations
+        );
+    }
+
+    /// One center, workers standing on it, single-point strategies: the
+    /// payoff of delivery point `i` is exactly `payoffs[i]` for everyone.
+    fn line_instance(n_workers: usize, payoffs: &[f64]) -> Instance {
+        use fta_core::entities::{DeliveryPoint, DistributionCenter, SpatialTask, Worker};
+        use fta_core::geometry::Point;
+        use fta_core::ids::{CenterId, DeliveryPointId, TaskId, WorkerId};
+        let dist = |i: usize| (i + 1) as f64;
+        Instance::new(
+            vec![DistributionCenter {
+                id: CenterId(0),
+                location: Point::new(0.0, 0.0),
+            }],
+            (0..n_workers)
+                .map(|w| Worker {
+                    id: WorkerId(w as u32),
+                    location: Point::new(0.0, 0.0),
+                    max_dp: 1,
+                    center: CenterId(0),
+                })
+                .collect(),
+            (0..payoffs.len())
+                .map(|i| DeliveryPoint {
+                    id: DeliveryPointId::from_index(i),
+                    location: Point::new(dist(i), 0.0),
+                    center: CenterId(0),
+                })
+                .collect(),
+            payoffs
+                .iter()
+                .enumerate()
+                .map(|(i, &p)| SpatialTask {
+                    id: TaskId::from_index(i),
+                    delivery_point: DeliveryPointId::from_index(i),
+                    expiry: 100.0,
+                    reward: p * dist(i),
+                })
+                .collect(),
+            1.0,
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn flat_rival_gap_candidates_are_all_evaluated() {
+        // n − 1 = 4 rivals at α = 0.5, β = 1.5: c* = 4·1.5/2 = 3 exactly, so
+        // U is flat between the 3rd and 4th smallest rival (3 and 6) and
+        // the open candidates 3.5, 4 and 5 strictly inside that gap tie in
+        // real arithmetic. Only float noise separates them, so the fast
+        // path must evaluate every one to pick what Incremental picks.
+        let payoffs = [1.0, 2.0, 3.0, 6.0, 3.5, 4.0, 5.0, 7.0, 2.5, 1.5];
+        let inst = line_instance(5, &payoffs);
+        let views = inst.center_views();
+        let s = StrategySpace::build(&inst, &views[0], &VdpsConfig::unpruned(1));
+        let slot = |dp: usize| s.pool.iter().position(|v| v.mask == 1 << dp).unwrap() as u32;
+        let iau = IauParams {
+            alpha: 0.5,
+            beta: 1.5,
+        };
+        let mut ctx = GameContext::new(&s);
+        for rival in 1..5 {
+            ctx.set_strategy(rival, Some(slot(rival - 1)));
+        }
+        let rivals = RivalSet::with_payoffs(&ctx.payoffs()[1..], iau);
+        let bracket = rivals.peak_bracket();
+        assert_eq!(bracket, PeakBracket::Peak { lo: 2.0, hi: 6.0 });
+        let mut got = Vec::new();
+        let scan = ctx.bracket_available_desc(0, bracket, |p| p, &mut got);
+        let inside: Vec<f64> = got
+            .iter()
+            .map(|&(_, p)| p)
+            .filter(|&p| p > 3.0 && p < 6.0)
+            .collect();
+        assert_eq!(inside.len(), 3, "flat-gap candidates {got:?}");
+        // Nearest above (7), the whole bracket (2.5 … 5) and nearest below
+        // (1.5); nothing else is open.
+        assert_eq!(got.len(), 6);
+        assert!(scan.scanned <= s.strategy_count(0) as u64);
+        // The bracketed rule picks exactly what the exhaustive rule picks.
+        let (exhaustive, exhaustive_u, _) =
+            first_strict_max(ctx.available_strategies(0), |p| rivals.eval(p));
+        let (bracketed, bracketed_u, _) = first_strict_max(got.iter().copied(), |p| rivals.eval(p));
+        assert_eq!(exhaustive, bracketed);
+        assert_eq!(exhaustive_u.to_bits(), bracketed_u.to_bits());
+        // And whole runs from this profile agree.
+        let profile = crate::warm::profile_of(&ctx);
+        let run = |engine| {
+            let mut ctx = GameContext::new(&s);
+            let cfg = FgtConfig {
+                iau,
+                engine,
+                ..FgtConfig::default()
+            };
+            let (trace, _) = fgt_warm_bounded(&mut ctx, &cfg, &profile, None);
+            (crate::warm::profile_of(&ctx), trace.rounds)
+        };
+        assert_eq!(
+            run(BestResponseEngine::FastPath),
+            run(BestResponseEngine::Incremental)
+        );
     }
 
     #[test]

@@ -9,11 +9,11 @@
 //! coincides with FGT (tested below).
 
 use crate::context::GameContext;
-use crate::fgt::{BestResponseEngine, FgtConfig};
+use crate::fgt::{first_strict_max, BestResponseEngine, FgtConfig};
 use crate::random::random_init;
 use crate::stats::BestResponseStats;
 use crate::trace::ConvergenceTrace;
-use fta_core::iau::RivalSet;
+use fta_core::iau::{PeakBracket, RivalSet};
 use fta_core::priority::{priority_payoff_difference, PriorityIauEvaluator, PriorityRivalSet};
 use fta_core::{CancelToken, WorkerId};
 use rand::rngs::StdRng;
@@ -159,15 +159,7 @@ fn pfgt_once(
         BestResponseEngine::Incremental => {
             pfgt_once_incremental(ctx, config, priorities, init, cancel)
         }
-        BestResponseEngine::FastPath => {
-            if crate::fgt::fastpath_sound(config.base.iau) {
-                pfgt_once_fastpath(ctx, config, priorities, init, cancel)
-            } else {
-                // Out of the monotone regime: exhaustive fallback,
-                // bit-identical (fastpath_rounds stays 0).
-                pfgt_once_incremental(ctx, config, priorities, init, cancel)
-            }
-        }
+        BestResponseEngine::FastPath => pfgt_once_fastpath(ctx, config, priorities, init, cancel),
     }
 }
 
@@ -216,16 +208,9 @@ fn pfgt_once_rebuild(
 
             let current_utility = eval.eval(ctx.payoff(local));
             trace.stats.candidates_scanned += ctx.space().strategy_count(local) as u64;
-            let mut best: Option<(Option<u32>, f64)> = Some((None, eval.eval(0.0)));
-            trace.stats.candidate_evaluations += 2;
-            for (idx, payoff) in ctx.available_strategies(local) {
-                let u = eval.eval(payoff);
-                trace.stats.candidate_evaluations += 1;
-                if best.as_ref().is_none_or(|&(_, bu)| u > bu) {
-                    best = Some((Some(idx), u));
-                }
-            }
-            let (choice, utility) = best.expect("null is always a candidate");
+            let (choice, utility, evaluations) =
+                first_strict_max(ctx.available_strategies(local), |p| eval.eval(p));
+            trace.stats.candidate_evaluations += 1 + evaluations;
             if utility > current_utility + config.base.min_improvement
                 && choice != ctx.selection(local)
             {
@@ -297,16 +282,9 @@ fn pfgt_once_incremental(
 
             let current_utility = q_rivals.eval(own, rho);
             trace.stats.candidates_scanned += ctx.space().strategy_count(local) as u64;
-            let mut best: Option<(Option<u32>, f64)> = Some((None, q_rivals.eval(0.0, rho)));
-            trace.stats.candidate_evaluations += 2;
-            for (idx, payoff) in ctx.available_strategies(local) {
-                let u = q_rivals.eval(payoff, rho);
-                trace.stats.candidate_evaluations += 1;
-                if best.as_ref().is_none_or(|&(_, bu)| u > bu) {
-                    best = Some((Some(idx), u));
-                }
-            }
-            let (choice, utility) = best.expect("null is always a candidate");
+            let (choice, utility, evaluations) =
+                first_strict_max(ctx.available_strategies(local), |p| q_rivals.eval(p, rho));
+            trace.stats.candidate_evaluations += 1 + evaluations;
             if utility > current_utility + config.base.min_improvement
                 && choice != ctx.selection(local)
             {
@@ -347,14 +325,13 @@ fn pfgt_once_incremental(
     trace
 }
 
-/// Monotone fast-path engine for PFGT: identical evaluator maintenance to
-/// [`pfgt_once_incremental`] (so traces are bit-identical), but the best
-/// response is the highest-payoff available strategy found by a first-hit
-/// scan over the payoff-descending slot order. Soundness: the priority IAU
-/// perceives inequity on the normalised payoffs `q = p/ρ` with `ρ > 0`, a
-/// strictly increasing map, so the monotonicity argument of
-/// [`crate::fgt::fastpath_sound`] carries over verbatim for `β < 1`,
-/// `α ≥ 0`.
+/// Fast-path engine for PFGT: identical evaluator maintenance to
+/// [`pfgt_once_incremental`] (so traces are bit-identical), but each turn
+/// IAU-evaluates only the candidates the rivals' [`PeakBracket`] admits,
+/// as in FGT's fast path. The priority IAU perceives inequity on the
+/// normalised payoffs `q = p/ρ` with `ρ > 0`, a strictly increasing map,
+/// so the shape argument carries over verbatim in `q` space: the bracket
+/// is compared against `p/ρ`, the division the evaluator itself performs.
 fn pfgt_once_fastpath(
     ctx: &mut GameContext<'_>,
     config: &PfgtConfig,
@@ -362,7 +339,6 @@ fn pfgt_once_fastpath(
     init: Option<u64>,
     cancel: Option<&CancelToken>,
 ) -> ConvergenceTrace {
-    debug_assert!(crate::fgt::fastpath_sound(config.base.iau));
     let index_updates_before = ctx.index_updates();
     if let Some(seed) = init {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -387,6 +363,7 @@ fn pfgt_once_fastpath(
     );
 
     let n = ctx.n_workers();
+    let mut candidates = Vec::new();
     for round in 1..=config.base.max_rounds {
         trace.stats.rounds += 1;
         trace.stats.fastpath_rounds += 1;
@@ -397,16 +374,27 @@ fn pfgt_once_fastpath(
             trace.stats.evaluator_updates += 1;
 
             let current_utility = q_rivals.eval(own, rho);
-            let (found, scan) = ctx.best_available_desc(local);
+            let bracket = q_rivals.peak_bracket();
+            let (choice, utility, scan) = if bracket == PeakBracket::Monotone {
+                let (found, scan) = ctx.best_available_desc(local);
+                trace.stats.candidate_evaluations += 2;
+                match found {
+                    Some((idx, payoff)) if payoff > 0.0 => {
+                        (Some(idx), q_rivals.eval(payoff, rho), scan)
+                    }
+                    _ => (None, q_rivals.eval(0.0, rho), scan),
+                }
+            } else {
+                let scan = ctx.bracket_available_desc(local, bracket, |p| p / rho, &mut candidates);
+                let (choice, utility, evaluations) =
+                    first_strict_max(candidates.iter().copied(), |p| q_rivals.eval(p, rho));
+                trace.stats.candidate_evaluations += 1 + evaluations;
+                (choice, utility, scan)
+            };
             trace.stats.candidates_scanned += scan.scanned;
             if scan.early_exit {
                 trace.stats.early_exits += 1;
             }
-            let (choice, utility) = match found {
-                Some((idx, payoff)) if payoff > 0.0 => (Some(idx), q_rivals.eval(payoff, rho)),
-                _ => (None, q_rivals.eval(0.0, rho)),
-            };
-            trace.stats.candidate_evaluations += 2;
             if utility > current_utility + config.base.min_improvement
                 && choice != ctx.selection(local)
             {

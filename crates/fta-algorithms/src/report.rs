@@ -34,7 +34,7 @@ pub struct SolveReport<'a> {
     outcome: &'a SolveOutcome,
     label: Option<&'a str>,
     engine: Option<&'a str>,
-    br_engine: Option<(&'a str, bool)>,
+    br_engine: Option<(&'a str, &'a str)>,
 }
 
 impl<'a> SolveReport<'a> {
@@ -63,13 +63,14 @@ impl<'a> SolveReport<'a> {
         self
     }
 
-    /// Names the best-response engine and whether the configured IAU
-    /// weights make the monotone fast path sound ([`crate::fastpath_sound`]).
-    /// Rendered on the best-response work line, so baselines that never
-    /// enter an equilibrium loop stay silent.
+    /// Names the best-response engine and the candidate rule it ran
+    /// ([`crate::BestResponseEngine::rule`]: `monotone`, `peak` or `ends`
+    /// for the fast path, `all` for the exhaustive engines). Rendered with
+    /// the best-response work line, so baselines that never enter an
+    /// equilibrium loop stay silent.
     #[must_use]
-    pub fn br_engine(mut self, engine: &'a str, fastpath_eligible: bool) -> Self {
-        self.br_engine = Some((engine, fastpath_eligible));
+    pub fn br_engine(mut self, engine: &'a str, rule: &'a str) -> Self {
+        self.br_engine = Some((engine, rule));
         self
     }
 }
@@ -112,16 +113,8 @@ impl fmt::Display for SolveReport<'_> {
         }
         if !o.br_stats.is_empty() {
             let s = &o.br_stats;
-            if let Some((engine, eligible)) = self.br_engine {
-                writeln!(
-                    f,
-                    "best-response engine: {engine} (fast path {})",
-                    if eligible {
-                        "eligible"
-                    } else {
-                        "ineligible: exhaustive fallback"
-                    },
-                )?;
+            if let Some((engine, rule)) = self.br_engine {
+                writeln!(f, "best-response engine: {engine} (rule: {rule})")?;
             }
             writeln!(
                 f,
@@ -221,17 +214,23 @@ mod tests {
     #[test]
     fn br_engine_echo_reports_name_and_eligibility() {
         let o = outcome(Algorithm::Fgt(FgtConfig::default()));
-        let text = SolveReport::new(&o).br_engine("fastpath", true).to_string();
-        assert!(text.contains("best-response engine: fastpath (fast path eligible)"));
         let text = SolveReport::new(&o)
-            .br_engine("exhaustive", false)
+            .br_engine("fastpath", "monotone")
             .to_string();
-        assert!(text.contains(
-            "best-response engine: exhaustive (fast path ineligible: exhaustive fallback)"
-        ));
+        assert!(text.contains("best-response engine: fastpath (rule: monotone)"));
+        let text = SolveReport::new(&o)
+            .br_engine("fastpath", "peak")
+            .to_string();
+        assert!(text.contains("best-response engine: fastpath (rule: peak)"));
+        let text = SolveReport::new(&o)
+            .br_engine("exhaustive", "all")
+            .to_string();
+        assert!(text.contains("best-response engine: exhaustive (rule: all)"));
         // Baselines stay silent even with an engine attached.
         let o = outcome(Algorithm::Gta);
-        let text = SolveReport::new(&o).br_engine("fastpath", true).to_string();
+        let text = SolveReport::new(&o)
+            .br_engine("fastpath", "monotone")
+            .to_string();
         assert!(!text.contains("best-response engine:"));
     }
 }

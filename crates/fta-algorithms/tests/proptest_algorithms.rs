@@ -3,10 +3,11 @@
 //! for every input, not just the crafted unit-test cases.
 
 use fta_algorithms::{
-    fgt, gta, iegt, mpta, random_assignment, solve, Algorithm, FgtConfig, GameContext, IegtConfig,
-    MptaConfig, SolveConfig,
+    fgt, gta, iegt, mpta, pfgt, random_assignment, solve, Algorithm, BestResponseEngine, FgtConfig,
+    GameContext, IegtConfig, MptaConfig, PfgtConfig, PrioritySpec, SolveConfig,
 };
 use fta_core::iau::IauEvaluator;
+use fta_core::priority::PriorityIauEvaluator;
 use fta_core::{Instance, SolveBudget};
 use fta_data::{generate_syn, SynConfig};
 use fta_vdps::{StrategySpace, VdpsConfig};
@@ -38,6 +39,120 @@ fn arb_instance() -> impl Strategy<Value = Instance> {
 fn space(instance: &Instance) -> StrategySpace {
     let views = instance.center_views();
     StrategySpace::build(instance, &views[0], &VdpsConfig::unpruned(4))
+}
+
+/// Priority 2 for even worker ids, 1 for odd ones.
+fn tiered(worker: fta_core::WorkerId) -> f64 {
+    if worker.0 % 2 == 0 {
+        2.0
+    } else {
+        1.0
+    }
+}
+
+/// Runs FGT (or PFGT under `priorities`) with `engine` and captures what
+/// another engine must reproduce, the run's work counters, and the largest
+/// utility gain any worker could still get by deviating, measured with the
+/// `Rebuild` engine's evaluators.
+fn run_engine(
+    s: &StrategySpace,
+    engine: BestResponseEngine,
+    iau: fta_core::iau::IauParams,
+    priorities: Option<PrioritySpec>,
+) -> (EngineRun, fta_algorithms::BestResponseStats, f64) {
+    let base = FgtConfig {
+        iau,
+        engine,
+        ..FgtConfig::default()
+    };
+    let mut ctx = GameContext::new(s);
+    let trace = match priorities {
+        None => fgt(&mut ctx, &base),
+        Some(priorities) => pfgt(&mut ctx, &PfgtConfig { base, priorities }),
+    };
+    let selections: Vec<Option<u32>> = (0..ctx.n_workers()).map(|l| ctx.selection(l)).collect();
+    let payoff_bits: Vec<u64> = (0..ctx.n_workers())
+        .map(|l| ctx.payoff(l).to_bits())
+        .collect();
+    let summaries: Vec<(usize, u64, u64)> = trace
+        .rounds
+        .iter()
+        .map(|r| {
+            (
+                r.moves,
+                r.payoff_difference.to_bits(),
+                r.average_payoff.to_bits(),
+            )
+        })
+        .collect();
+    let rho = |local: usize| priorities.map_or(1.0, |p| p.of(s.worker_id(local)));
+    let mut nash_gap = f64::NEG_INFINITY;
+    for local in 0..ctx.n_workers() {
+        let others: Vec<(f64, f64)> = (0..ctx.n_workers())
+            .filter(|&j| j != local)
+            .map(|j| (ctx.payoff(j), rho(j)))
+            .collect();
+        let eval = PriorityIauEvaluator::new(rho(local), &others, iau);
+        let current = eval.eval(ctx.payoff(local));
+        let deviations = ctx.available_strategies(local).map(|(_, p)| p).chain([0.0]);
+        for payoff in deviations {
+            nash_gap = nash_gap.max(eval.eval(payoff) - current);
+        }
+    }
+    (
+        (selections, payoff_bits, summaries, trace.converged),
+        trace.stats,
+        nash_gap,
+    )
+}
+
+/// The fast path's contract at any IAU weights: bit-identical to the
+/// `Incremental` engine (selections, payoffs, round summaries,
+/// convergence), every round on the fast path, and never more slots
+/// probed than the exhaustive scan.
+///
+/// Against the `Rebuild` oracle: the same selections and payoffs when
+/// `rebuild_identical`, else a Nash equilibrium under its evaluators.
+/// Weights with a flat utility piece (an integral peak, or `β = 1`) tie
+/// candidates in real arithmetic; `Rebuild` sums in another order than
+/// the rival set, so float noise can break those ties differently between
+/// the two exhaustive engines themselves.
+fn assert_fastpath_matches_oracles(
+    instance: &Instance,
+    iau: fta_core::iau::IauParams,
+    priorities: Option<PrioritySpec>,
+    rebuild_identical: bool,
+) {
+    let s = space(instance);
+    let (rebuild, _, _) = run_engine(&s, BestResponseEngine::Rebuild, iau, priorities);
+    let (incremental, inc, _) = run_engine(&s, BestResponseEngine::Incremental, iau, priorities);
+    let (fastpath, fast, nash_gap) = run_engine(&s, BestResponseEngine::FastPath, iau, priorities);
+    prop_assert_eq!(
+        &incremental,
+        &fastpath,
+        "fastpath diverged from incremental"
+    );
+    if rebuild_identical {
+        prop_assert_eq!(
+            &rebuild.0,
+            &fastpath.0,
+            "fastpath selections diverged from rebuild"
+        );
+        prop_assert_eq!(
+            &rebuild.1,
+            &fastpath.1,
+            "fastpath payoffs diverged from rebuild"
+        );
+    } else if fastpath.3 {
+        prop_assert!(nash_gap <= 1e-8, "profitable deviation of {nash_gap} left");
+    }
+    prop_assert_eq!(fast.fastpath_rounds, fast.rounds);
+    prop_assert!(
+        fast.candidates_scanned <= inc.candidates_scanned,
+        "fastpath probed {} slots, incremental {}",
+        fast.candidates_scanned,
+        inc.candidates_scanned
+    );
 }
 
 proptest! {
@@ -307,28 +422,48 @@ proptest! {
         prop_assert_eq!(&incremental, &fastpath, "fastpath diverged");
     }
 
-    /// Unsound IAU weights (`β ≥ 1`, where IAU utility is no longer
-    /// monotone in own payoff) must make the `FastPath` engine fall back
-    /// to exhaustive evaluation: zero fast-path rounds, and the outcome
-    /// identical to the `Incremental` engine it delegates to.
+    /// Concave IAU weights (`β ≥ 1`, where a worker can prefer a *lower*
+    /// payoff to shed guilt): the fast path evaluates only the candidates
+    /// around the utility's peak, and must still reproduce the exhaustive
+    /// engines — FGT and PFGT alike.
     #[test]
-    fn fastpath_engine_falls_back_when_beta_is_large(
+    fn fastpath_engine_is_bit_identical_for_concave_iau_weights(
         instance in arb_instance(),
+        alpha in 0.0f64..3.0,
         beta in 1.0f64..3.0,
     ) {
-        let iau = fta_core::iau::IauParams { alpha: 0.5, beta };
+        let iau = fta_core::iau::IauParams { alpha, beta };
         prop_assert!(!fta_algorithms::fastpath_sound(iau));
-        let s = space(&instance);
-        let run = |engine| {
-            let mut ctx = GameContext::new(&s);
-            let trace = fgt(&mut ctx, &FgtConfig { iau, engine, ..FgtConfig::default() });
-            (ctx.to_assignment(), trace)
-        };
-        let (inc_asg, inc) = run(fta_algorithms::BestResponseEngine::Incremental);
-        let (fast_asg, fast) = run(fta_algorithms::BestResponseEngine::FastPath);
-        prop_assert_eq!(fast.stats.fastpath_rounds, 0, "unsound weights took the fast path");
-        prop_assert_eq!(fast.stats.early_exits, 0);
-        prop_assert_eq!(inc_asg, fast_asg);
-        prop_assert_eq!(inc.stats, fast.stats);
+        assert_fastpath_matches_oracles(&instance, iau, None, true);
+        assert_fastpath_matches_oracles(&instance, iau, Some(PrioritySpec::ByWorker(tiered)), true);
+    }
+
+    /// The weights where the bracket's slack matters: `(0.5, 1.5)` puts the
+    /// peak on an integral order statistic whenever `n−1 ≡ 0 (mod 4)`
+    /// (a flat rival gap), `(0.5, 1.0)` leaves the last piece flat, and
+    /// `(1, 1)` does both.
+    #[test]
+    fn fastpath_engine_is_bit_identical_at_pinned_averse_weights(
+        instance in arb_instance(),
+        pinned in 0usize..3,
+    ) {
+        let (alpha, beta) = [(0.5, 1.5), (0.5, 1.0), (1.0, 1.0)][pinned];
+        let iau = fta_core::iau::IauParams { alpha, beta };
+        assert_fastpath_matches_oracles(&instance, iau, None, false);
+        assert_fastpath_matches_oracles(&instance, iau, Some(PrioritySpec::ByWorker(tiered)), false);
+    }
+
+    /// `α + β ≤ 0`: the IAU is convex or linear in the own payoff, so the
+    /// fast path evaluates only null and the two extreme payoffs (or runs
+    /// the monotone scan when every slope is still positive).
+    #[test]
+    fn fastpath_engine_is_bit_identical_for_convex_iau_weights(
+        instance in arb_instance(),
+        beta in -3.0f64..3.0,
+        slack in 0.0f64..3.0,
+    ) {
+        let iau = fta_core::iau::IauParams { alpha: -beta - slack, beta };
+        assert_fastpath_matches_oracles(&instance, iau, None, true);
+        assert_fastpath_matches_oracles(&instance, iau, Some(PrioritySpec::ByWorker(tiered)), true);
     }
 }

@@ -1,5 +1,6 @@
 //! Schema validation of the committed perf snapshots at the repo root:
-//! `BENCH_incremental.json` (incremental re-solve), `BENCH_hotpath.json`
+//! `BENCH_incremental.json` (incremental re-solve), `BENCH_br.json`
+//! (best-response engines), `BENCH_hotpath.json`
 //! (chunked kernels + calibrated hot-path profile), `BENCH_durable.json`
 //! (journaling overhead per fsync policy), `BENCH_scale.json`
 //! (geo-sharded concurrent solves up to 10^5 workers), and the
@@ -119,6 +120,102 @@ fn bench_incremental_snapshot_is_schema_valid() {
         arrivals_labels,
         ["paper", "small"],
         "grid must include the small and paper arrivals rows"
+    );
+}
+
+#[test]
+fn bench_br_snapshot_is_schema_valid() {
+    let raw = std::fs::read_to_string(snapshot_path("BENCH_br.json"))
+        .expect("BENCH_br.json is committed at the repo root");
+    let v: Value = serde_json::from_str(&raw).expect("snapshot parses as JSON");
+
+    assert!(v["description"].as_str().is_some(), "missing description");
+    assert!(v["reps"].as_u64().unwrap_or(0) >= 1, "reps must be >= 1");
+    let grid = v["grid"].as_array().expect("grid is an array");
+
+    let mut labels = Vec::new();
+    let mut saw_large_averse_center = false;
+    for row in grid {
+        let label = row["label"].as_str().expect("row missing label");
+        labels.push(label);
+        for key in ["n_workers", "n_centers", "n_dps", "total_slots"] {
+            assert!(
+                row[key].as_u64().unwrap_or(0) > 0,
+                "{label}: missing positive integer field {key}"
+            );
+        }
+        let beta = row["beta"].as_f64().expect("row missing beta");
+        assert!(row["alpha"].as_f64().is_some(), "{label}: missing alpha");
+        let rule = row["rule"].as_str().expect("row missing rule");
+        assert_eq!(
+            rule,
+            if beta < 1.0 { "monotone" } else { "peak" },
+            "{label}: rule disagrees with beta"
+        );
+        let rebuild = row["rebuild_ms"].as_f64().expect("row missing rebuild_ms");
+        let incremental = row["incremental_ms"]
+            .as_f64()
+            .expect("row missing incremental_ms");
+        let fastpath = row["fastpath_ms"]
+            .as_f64()
+            .expect("row missing fastpath_ms");
+        assert!(rebuild > 0.0 && incremental > 0.0 && fastpath > 0.0);
+        let speedup = row["speedup_fastpath_vs_incremental"]
+            .as_f64()
+            .expect("row missing speedup_fastpath_vs_incremental");
+        assert!(
+            (speedup - incremental / fastpath).abs() <= speedup * 1e-6,
+            "{label}: speedup inconsistent with its timings"
+        );
+        // The writer's own gate, re-checked on the committed numbers.
+        assert!(
+            fastpath <= incremental,
+            "{label}: committed snapshot has the fast path losing to incremental"
+        );
+        let counters = &row["fastpath_counters"];
+        let rounds = counters["rounds"]
+            .as_u64()
+            .expect("counters missing rounds");
+        assert!(rounds > 0, "{label}: no best-response rounds");
+        assert_eq!(
+            counters["fastpath_rounds"].as_u64(),
+            Some(rounds),
+            "{label}: every fast-path round runs its rule"
+        );
+        let scanned = counters["candidates_scanned"]
+            .as_u64()
+            .expect("counters missing candidates_scanned");
+        let evaluations = counters["candidate_evaluations"]
+            .as_u64()
+            .expect("counters missing candidate_evaluations");
+        assert!(
+            scanned
+                <= row["exhaustive_candidates_scanned"]
+                    .as_u64()
+                    .expect("row missing exhaustive_candidates_scanned"),
+            "{label}: fast path scanned more slots than the exhaustive engine"
+        );
+        assert!(
+            evaluations
+                <= row["exhaustive_candidate_evaluations"]
+                    .as_u64()
+                    .expect("row missing exhaustive_candidate_evaluations"),
+            "{label}: fast path evaluated more candidates than the exhaustive engine"
+        );
+        if row["n_centers"].as_u64() == Some(1)
+            && row["n_workers"].as_u64().unwrap_or(0) >= 500
+            && beta >= 1.0
+        {
+            saw_large_averse_center = true;
+        }
+    }
+    labels.sort_unstable();
+    for want in ["paper", "paper-averse", "small", "small-averse"] {
+        assert!(labels.contains(&want), "grid must include the {want} row");
+    }
+    assert!(
+        saw_large_averse_center,
+        "grid must include a single-center row with >= 500 workers at beta >= 1"
     );
 }
 

@@ -117,8 +117,9 @@ OPTIONS
       both produce identical pools).
   --br-engine auto|exhaustive|incremental|fastpath   Best-response
       engine of the equilibrium loops (fgt/iegt only; default: auto =
-      fastpath, which self-falls-back to the exhaustive evaluation when
-      the IAU weights make the monotone scan unsound, i.e. β ≥ 1).
+      fastpath, which evaluates only the candidates that can win under
+      the IAU weights: the highest available payoff for β < 1, those
+      around the utility's peak for β ≥ 1; see DESIGN.md §10).
   --parallel              Run on a worker pool bounded by the number of
       CPUs (per-center jobs, per-layer DP expansion, and per-worker
       validation all share the pool).
@@ -172,7 +173,7 @@ pub enum Command {
         /// VDPS generator engine.
         engine: VdpsEngine,
         /// Best-response engine of the equilibrium loops (`--br-engine`;
-        /// `auto` resolves to the self-guarding fast path).
+        /// `auto` resolves to the fast path).
         br_engine: BestResponseEngine,
         /// Per-center threading.
         parallel: bool,
@@ -324,10 +325,9 @@ fn parse_engine(raw: &str) -> Result<VdpsEngine, String> {
 
 fn parse_br_engine(raw: &str) -> Result<BestResponseEngine, String> {
     Ok(match raw {
-        // `auto` and `fastpath` are the same engine: FastPath guards its
-        // own soundness and falls back to the exhaustive evaluation when
-        // the IAU weights demand it, so there is nothing extra for the
-        // CLI to decide.
+        // `auto` and `fastpath` are the same engine: FastPath picks its
+        // candidate rule from the IAU weights itself, so there is nothing
+        // extra for the CLI to decide.
         "auto" | "fastpath" => BestResponseEngine::FastPath,
         "incremental" => BestResponseEngine::Incremental,
         "exhaustive" => BestResponseEngine::Rebuild,
@@ -871,7 +871,7 @@ mod tests {
 
     #[test]
     fn br_engine_flag_selects_best_response_engine() {
-        // Default is `auto` = the self-guarding fast path.
+        // Default is `auto` = the fast path.
         match parse(&argv("solve city.json")).unwrap() {
             Command::Solve { br_engine, .. } => {
                 assert_eq!(br_engine, BestResponseEngine::FastPath);

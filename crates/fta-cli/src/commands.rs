@@ -391,7 +391,7 @@ pub fn execute(command: &Command) -> Result<String, String> {
             shards,
             shard_by,
         } => {
-            use fta_algorithms::{fastpath_sound, solve_sharded, Algorithm, PanicInjection};
+            use fta_algorithms::{solve_sharded, Algorithm, BestResponseEngine, PanicInjection};
             if let Some(path) = hotpath_profile {
                 let profile = fta_vdps::hotpath::load(path)
                     .map_err(|e| format!("--hotpath-profile {}: {e}", path.display()))?;
@@ -400,24 +400,28 @@ pub fn execute(command: &Command) -> Result<String, String> {
             let inst = load_instance(instance).map_err(|e| e.to_string())?;
             // Thread the requested best-response engine into whichever
             // equilibrium loop the algorithm runs (baselines have none),
-            // and remember whether the monotone fast path is sound for
-            // the configured utilities so the report can echo it.
+            // and remember which candidate rule it runs under the
+            // configured utilities so the report can echo it.
             let mut algorithm = *algorithm;
-            let fastpath_eligible = match &mut algorithm {
+            let br_rule = match &mut algorithm {
                 Algorithm::Fgt(cfg) => {
                     cfg.engine = *br_engine;
-                    fastpath_sound(cfg.iau)
+                    br_engine.rule(cfg.iau)
                 }
                 Algorithm::Pfgt(cfg) => {
                     cfg.base.engine = *br_engine;
-                    fastpath_sound(cfg.base.iau)
+                    br_engine.rule(cfg.base.iau)
                 }
                 Algorithm::Iegt(cfg) => {
                     cfg.engine = *br_engine;
                     // IEGT utilities are raw payoffs: always monotone.
-                    true
+                    if *br_engine == BestResponseEngine::FastPath {
+                        "monotone"
+                    } else {
+                        "all"
+                    }
                 }
-                _ => true,
+                _ => "all",
             };
             let vdps = VdpsConfig {
                 epsilon: *epsilon,
@@ -458,7 +462,7 @@ pub fn execute(command: &Command) -> Result<String, String> {
             let report = fta_algorithms::SolveReport::new(&outcome)
                 .label(&label)
                 .engine(engine.name())
-                .br_engine(br_engine.name(), fastpath_eligible)
+                .br_engine(br_engine.name(), br_rule)
                 .to_string();
             // Header first, assignment summary, then the stats lines.
             let mut lines = report.splitn(2, '\n');
@@ -1055,10 +1059,10 @@ mod tests {
         );
         assert!(out.contains("evaluator builds"));
         assert!(out.contains("fast-path rounds"));
-        // The default engine is the self-guarding fast path, and the
-        // paper's default IAU weights (β = 0.5) make it sound.
+        // The default engine is the fast path, and the paper's default
+        // IAU weights (β = 0.5) make its rule the monotone scan.
         assert!(
-            out.contains("best-response engine: fastpath (fast path eligible)"),
+            out.contains("best-response engine: fastpath (rule: monotone)"),
             "missing engine echo in:\n{out}"
         );
 

@@ -500,6 +500,119 @@ impl RivalSet {
         let lp = k * own - s_lt;
         own - self.params.alpha / n * mp - self.params.beta / n * lp
     }
+
+    /// The `k`-th smallest stored payoff (0-based, copies counted), found
+    /// by descending the treap's subtree counts. `O(log n)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k >= len()`.
+    #[must_use]
+    pub(crate) fn select(&self, k: usize) -> f64 {
+        assert!(k < self.len, "select({k}) on a RivalSet of {}", self.len);
+        let mut rank = k as i64;
+        let mut cur = self.root.as_deref();
+        while let Some(n) = cur {
+            let left = subtree_count(&n.left);
+            if rank < left {
+                cur = n.left.as_deref();
+            } else if rank < left + n.copies {
+                return n.value;
+            } else {
+                rank -= left + n.copies;
+                cur = n.right.as_deref();
+            }
+        }
+        unreachable!("subtree counts cover every rank below len")
+    }
+
+    /// Which candidates a best response against the stored rivals must
+    /// IAU-evaluate (see [`PeakBracket`]). The rule depends on the weights
+    /// alone; a [`PeakBracket::Peak`]'s bounds are two order statistics of
+    /// the rivals, `O(log n)` each.
+    #[must_use]
+    pub fn peak_bracket(&self) -> PeakBracket {
+        let IauParams { alpha, beta } = self.params;
+        if beta < 1.0 && alpha > -1.0 {
+            return PeakBracket::Monotone;
+        }
+        // NaN weights land here too: every utility is NaN, so nothing
+        // beats null.
+        if alpha + beta <= 0.0 || (alpha + beta).is_nan() {
+            return PeakBracket::Ends;
+        }
+        let m = self.len;
+        // The peak is the 1-based order statistic c* = ⌈m(1+α)/(α+β)⌉;
+        // α ≤ −1 puts it below every rival and rounding may push it past
+        // the last one, hence the clamp.
+        let c = (m as f64 * (1.0 + alpha) / (alpha + beta))
+            .ceil()
+            .clamp(0.0, (m + 1) as f64) as usize;
+        // One rival kink of slack on each side covers the flat piece after
+        // an integral c* and a c* that rounding moved by one.
+        let lo = if c >= 2 {
+            self.select(c - 2)
+        } else {
+            f64::NEG_INFINITY
+        };
+        let hi = if c < m { self.select(c) } else { f64::INFINITY };
+        PeakBracket::Peak { lo, hi }
+    }
+}
+
+/// Which candidates a best response must IAU-evaluate, given the rivals.
+///
+/// With the `m = n−1` rival payoffs fixed, `U(p)` (Equation 5) is
+/// continuous and piecewise linear in the own payoff `p`, with kinks at the
+/// rivals. On the piece with `c` rivals at or below `p` its slope is
+///
+/// ```text
+/// 1 + (α·(m−c) − β·c)/m  =  ((m−c)·(1+α) + c·(1−β)) / m,
+/// ```
+///
+/// so every rival kink changes the slope by `−(α+β)/m`. The exhaustive
+/// rule (first strict maximum over null, then candidates in ascending pool
+/// index) only ever picks a candidate no other candidate strictly beats,
+/// so it is reproduced by applying the same rule to any subset that keeps,
+/// for every dropped candidate, one that strictly beats it. Each variant
+/// names such a subset. The argument is exact in real arithmetic; in
+/// floating point it holds unless two distinct payoffs' utilities round to
+/// the same `f64` (the caveat the monotone scan has always carried).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum PeakBracket {
+    /// `β < 1` and `α > −1`: every slope is positive, `U` is strictly
+    /// increasing, and the best response is the highest-payoff available
+    /// strategy (null unless that payoff exceeds 0).
+    Monotone,
+    /// `α + β > 0` otherwise: `U` is concave and stops increasing at the
+    /// `c* = ⌈m(1+α)/(α+β)⌉`-th smallest rival. `U` strictly increases
+    /// below `lo` and strictly decreases above `hi`, which sit one rival
+    /// kink either side of that peak, so the argmax is among the nearest
+    /// available payoff above `hi`, every available payoff in
+    /// `[lo, hi]`, the nearest available payoff below `lo`, and null.
+    /// Equal payoffs have equal utilities, so of a nearest payoff only its
+    /// lowest pool index needs evaluating.
+    Peak {
+        /// Lower bound of the peak's bracket (`−∞` below every rival).
+        lo: f64,
+        /// Upper bound of the peak's bracket (`+∞` above every rival).
+        hi: f64,
+    },
+    /// `α + β ≤ 0` otherwise: `U` is convex or linear, so the argmax is
+    /// null or one of the two extreme available payoffs.
+    Ends,
+}
+
+impl PeakBracket {
+    /// Stable lowercase name of the rule (`monotone`, `peak`, `ends`).
+    #[must_use]
+    pub fn name(&self) -> &'static str {
+        match self {
+            Self::Monotone => "monotone",
+            Self::Peak { .. } => "peak",
+            Self::Ends => "ends",
+        }
+    }
 }
 
 #[cfg(test)]
@@ -693,6 +806,86 @@ mod tests {
         set.remove(0.0);
         set.remove(1999.0);
         assert_eq!(set.len(), 1998);
+    }
+
+    #[test]
+    fn rival_set_select_matches_sorted_vector_with_duplicates() {
+        let mut set = RivalSet::new(IauParams::default());
+        let mut shadow = Vec::new();
+        // Duplicates, interleaved with removals, exercise the per-node
+        // copy counts the rank descent skips over.
+        for (i, v) in [3.0, 1.0, 3.0, 0.5, 3.0, 7.25, 1.0, 0.0, 7.25, 2.0]
+            .into_iter()
+            .enumerate()
+        {
+            set.insert(v);
+            shadow.push(v);
+            if i == 6 {
+                set.remove(3.0);
+                let pos = shadow.iter().position(|&p| p == 3.0).unwrap();
+                shadow.swap_remove(pos);
+            }
+        }
+        shadow.sort_by(f64::total_cmp);
+        assert_eq!(set.len(), shadow.len());
+        for (k, &want) in shadow.iter().enumerate() {
+            assert_eq!(set.select(k), want, "rank {k}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "select(3)")]
+    fn rival_set_select_rejects_out_of_range_ranks() {
+        let _ = RivalSet::with_payoffs(&[1.0, 2.0, 2.0], IauParams::default()).select(3);
+    }
+
+    #[test]
+    fn peak_bracket_classifies_weights_and_brackets_the_peak() {
+        let rivals: Vec<f64> = (0..8).map(f64::from).collect();
+        let bracket =
+            |alpha, beta| RivalSet::with_payoffs(&rivals, IauParams { alpha, beta }).peak_bracket();
+        assert_eq!(bracket(0.5, 0.5), PeakBracket::Monotone);
+        assert_eq!(bracket(-0.5, 0.9), PeakBracket::Monotone);
+        assert_eq!(bracket(-1.5, 1.5), PeakBracket::Ends);
+        assert_eq!(bracket(-2.0, 0.5), PeakBracket::Ends);
+        assert_eq!(bracket(f64::NAN, 2.0), PeakBracket::Ends);
+        // m = 8, α = 0.5, β = 1.5: c* = ⌈8·1.5/2⌉ = 6, an integral peak
+        // (flat on [r_6, r_7] = [5, 6]); the bracket is [r_5, r_7].
+        assert_eq!(bracket(0.5, 1.5), PeakBracket::Peak { lo: 4.0, hi: 6.0 });
+        // β = 1: the last piece is flat, so the bracket is unbounded above.
+        assert_eq!(
+            bracket(0.5, 1.0),
+            PeakBracket::Peak {
+                lo: 6.0,
+                hi: f64::INFINITY
+            }
+        );
+        // α ≤ −1 with α + β > 0: U never increases; the peak is below
+        // every rival.
+        assert_eq!(
+            bracket(-1.5, 2.0),
+            PeakBracket::Peak {
+                lo: f64::NEG_INFINITY,
+                hi: 0.0
+            }
+        );
+        for (alpha, beta) in [(0.5, 1.5), (1.0, 1.0), (0.25, 2.5), (2.0, 3.0)] {
+            let params = IauParams { alpha, beta };
+            let PeakBracket::Peak { lo, hi } = bracket(alpha, beta) else {
+                panic!("({alpha}, {beta}) is concave");
+            };
+            // U strictly increases up to lo and strictly decreases past hi.
+            let u = |p: f64| iau(p, &rivals, params);
+            let grid: Vec<f64> = (-4..=44).map(|i| f64::from(i) * 0.25).collect();
+            for w in grid.windows(2) {
+                if w[1] <= lo {
+                    assert!(u(w[0]) < u(w[1]), "({alpha}, {beta}) not rising at {w:?}");
+                }
+                if w[0] >= hi {
+                    assert!(u(w[0]) > u(w[1]), "({alpha}, {beta}) not falling at {w:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! the paper's unweighted counterpart, which the tests pin down.
 
 use crate::fairness::payoff_difference;
-use crate::iau::{IauEvaluator, IauParams, RivalSet};
+use crate::iau::{IauEvaluator, IauParams, PeakBracket, RivalSet};
 
 /// Divides each payoff by its worker's priority.
 ///
@@ -176,6 +176,13 @@ impl PriorityRivalSet {
     #[must_use]
     pub fn eval(&self, own_payoff: f64, own_priority: f64) -> f64 {
         self.inner.eval(Self::q(own_payoff, own_priority))
+    }
+
+    /// [`RivalSet::peak_bracket`] over the stored normalised payoffs: the
+    /// bounds of a [`PeakBracket::Peak`] are in `q = p/ρ` space.
+    #[must_use]
+    pub fn peak_bracket(&self) -> PeakBracket {
+        self.inner.peak_bracket()
     }
 
     /// Priority-aware payoff difference over the stored workers: Equation 2

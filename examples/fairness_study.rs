@@ -13,6 +13,13 @@
 //! * FGT is run without equilibrium-selection restarts here, isolating the
 //!   pure effect of the utility function on the reached equilibrium.
 //!
+//! A second sweep holds α = 0.5 and raises β through 1 on one full Table I
+//! city, where inequity aversion starts to change the equilibrium: for
+//! β < 1 the IAU is increasing in the own payoff, so every best response
+//! is the highest-payoff available strategy (the fast path's `monotone`
+//! rule); from β = 1 on a worker may prefer a lower payoff, and the fast
+//! path evaluates the candidates around the utility's peak (`peak`).
+//!
 //! Run with: `cargo run --release -p fta --example fairness_study`
 
 use fta::prelude::*;
@@ -75,5 +82,62 @@ fn main() {
          reduce inequity, the Fehr–Schmidt behaviour IAU models. The guilt \
          weight β does most of the work: a worker ahead of the pack accepts a \
          smaller route, freeing delivery points for the workers behind."
+    );
+
+    beta_sweep();
+}
+
+/// α = 0.5, β ∈ {0.5, 1, 1.5, 2} on the paper's Table I city (seed 1), with
+/// the default FGT configuration (restarts included), solved sequentially
+/// so the game time is one thread's.
+fn beta_sweep() {
+    let instance = generate_syn(&SynConfig::paper_scale(), 1);
+    let workers: Vec<WorkerId> = instance.workers.iter().map(|w| w.id).collect();
+    let aggregates = instance.dp_aggregates();
+    println!(
+        "\nTable I city (seed 1): {} workers, {} tasks, {} delivery points, α = 0.5\n",
+        instance.workers.len(),
+        instance.tasks.len(),
+        instance.delivery_points.len()
+    );
+    println!(
+        "{:>6} {:>9} {:>10} {:>12} {:>8} {:>9} {:>9}",
+        "beta", "rule", "P_dif", "avg payoff", "served", "BR rounds", "game ms"
+    );
+    for beta in [0.5, 1.0, 1.5, 2.0] {
+        let iau = IauParams { alpha: 0.5, beta };
+        let outcome = solve(
+            &instance,
+            &SolveConfig {
+                parallel: false,
+                ..SolveConfig::new(Algorithm::Fgt(FgtConfig {
+                    iau,
+                    ..FgtConfig::default()
+                }))
+            },
+        );
+        let report = outcome.assignment.fairness(&instance, &workers);
+        let served: usize = outcome
+            .assignment
+            .iter()
+            .flat_map(|(_, route)| route.dps())
+            .map(|dp| aggregates[dp.index()].task_count)
+            .sum();
+        println!(
+            "{beta:>6.1} {:>9} {:>10.4} {:>12.4} {:>8.4} {:>9} {:>9.1}",
+            FgtConfig::default().engine.rule(iau),
+            report.payoff_difference,
+            report.average_payoff,
+            served as f64 / instance.tasks.len() as f64,
+            outcome.br_stats.rounds,
+            outcome.assign_time.as_secs_f64() * 1e3
+        );
+    }
+    println!(
+        "\nReading: at the paper's β = 0.5 every best response is the \
+         highest-payoff available strategy, so the inequity terms never change \
+         a choice. β = 1 makes the last utility piece flat and barely moves the \
+         equilibrium; from β = 1.5 on guilt bites: P_dif falls, and with it \
+         the average payoff and the share of tasks served."
     );
 }
