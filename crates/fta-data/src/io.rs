@@ -156,6 +156,23 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_json_is_an_error_not_a_stack_overflow() {
+        let path = temp_path("nested.json");
+        // A typed field stops at the first wrong shape; an unknown key is
+        // skipped, so only the nesting limit stops it.
+        for (key, limit) in [("centers", false), ("extra", true)] {
+            fs::write(&path, format!("{{\"{key}\": {}", "[".repeat(100_000))).unwrap();
+            match load_instance(&path) {
+                Err(IoError::Parse(e)) => {
+                    assert_eq!(e.to_string().contains("nesting limit"), limit, "{e}");
+                }
+                other => panic!("expected a parse error, got {other:?}"),
+            }
+        }
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
     fn rejects_invariant_violations() {
         let path = temp_path("invalid.json");
         let mut instance = small_instance();

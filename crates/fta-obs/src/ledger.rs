@@ -826,6 +826,20 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_record_is_an_error_not_a_stack_overflow() {
+        let line = format!(
+            "{{\"type\": \"solve\", \"centers\": {}",
+            "[".repeat(100_000)
+        );
+        match record_from_json(&line) {
+            Err(LedgerError::Line { message, .. }) => {
+                assert!(message.contains("nesting limit"), "{message}");
+            }
+            other => panic!("expected a line error, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn self_diff_reports_zero_deltas() {
         let flat = sample_ledger().flatten();
         let report = diff_maps(&flat, &flat, 0.0);
